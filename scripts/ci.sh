@@ -15,7 +15,9 @@
 #     so the armed run lives in-process there);
 #   * the perf-smoke lane (bench_event_path --smoke): every event-delivery
 #     mode end to end in ~2s, a sanity check that the benches still run —
-#     not a performance gate.
+#     not a performance gate;
+#   * the repeat-under-load lane: integration_pipeline_test 20 times in a
+#     row while a second ctest run loads every core.
 # The tsan preset is the one that validates the lock-free event fast path
 # (collector_churn_test and friends must be race-free, see DESIGN.md §5.1)
 # and the SIGPROF signal-storm lane (signal_storm_test).
@@ -73,6 +75,25 @@ for preset in "${presets[@]}"; do
 
   echo "=== [$preset] perf-smoke lane ==="
   ctest --preset "$preset" -L perf-smoke --output-on-failure
+
+  echo "=== [$preset] repeat-under-load lane ==="
+  # Tier-1 must pass under load, not only on a quiet box. Repeat the MZ
+  # pipeline test (MiniMPI rank masters share sample slot 0) while a
+  # second ctest run keeps every core busy. The load run only supplies
+  # contention: its result is gated by the ctest pass above, so its output
+  # is discarded, and the fleet/chaos suites, which have their own lanes,
+  # stay out of it.
+  ctest --preset "$preset" -j "$(nproc)" -LE 'fleet|chaos' \
+    >/dev/null 2>&1 &
+  load_pid=$!
+  repeat_rc=0
+  ctest --preset "$preset" -R '^integration_pipeline_test$' \
+    --repeat until-fail:20 --output-on-failure || repeat_rc=$?
+  wait "$load_pid" || true
+  if [ "$repeat_rc" -ne 0 ]; then
+    echo "ci.sh: integration_pipeline_test failed under load"
+    exit 1
+  fi
 
   echo "=== [$preset] fleet lane ==="
   # Out-of-process aggregation: orcamon against a three-producer fleet

@@ -4,9 +4,10 @@
 /// the observed overhead is measurement/storage, not callbacks).
 ///
 /// Event samples go into preallocated per-thread ring-less buffers (drop +
-/// count on overflow, never block); join-time callstack records go into a
-/// per-thread growable store, since their cost is exactly what experiment
-/// E6 measures.
+/// count on overflow, never block on a full buffer; a writer sharing a slot
+/// waits only for the other writer's short critical section); join-time
+/// callstack records go into a per-thread growable store, since their cost
+/// is exactly what experiment E6 measures.
 #pragma once
 
 #include <algorithm>
@@ -57,24 +58,21 @@ class SampleBuffer {
     samples_.reserve(std::min<std::size_t>(capacity, 4096));
   }
 
+  /// Append `s`, or drop and count it. Drops happen only at the hard cap
+  /// and on an injected allocation failure, never because another writer
+  /// shares the slot: that writer's critical section is one push_back, so
+  /// waiting for it is cheaper than losing the sample. Not
+  /// async-signal-safe (it locks and may allocate); signal-context sampling
+  /// records into SignalSampleLane instead.
   void record(const EventSample& s) {
     // Injected allocation failure behaves exactly like hitting the hard
-    // cap: drop and count, never block or throw into the event path.
+    // cap: drop and count, never throw into the event path.
     if (testing::FaultInjector::alloc_fails(
             testing::FaultPoint::kSampleRecord)) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // try_lock, never lock: record() is reachable from a signal handler
-    // interrupting the very thread that holds mu_ (a SIGPROF mid-record),
-    // where a blocking acquire would self-deadlock. Contention — including
-    // that reentrancy case — degrades to drop-and-count, same as the hard
-    // cap; dropped_ is atomic so the count never needs the lock.
-    if (!mu_.try_lock()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    std::scoped_lock lk(std::adopt_lock, mu_);
+    std::scoped_lock lk(mu_);
     if (samples_.size() < capacity_) {
       samples_.push_back(s);
     } else {
@@ -107,8 +105,8 @@ class SampleBuffer {
 /// thread whose signal handler records into it), any number of quiescent
 /// readers. The array is preallocated up front — record() performs no
 /// allocation, locking, or syscalls, so it is the storage path a SIGPROF
-/// handler uses (SampleBuffer, in contrast, may grow its vector and only
-/// guarantees deadlock-freedom, not signal-safety). The crash postmortem
+/// handler uses (SampleBuffer, in contrast, takes a lock and may grow its
+/// vector, so it is not signal-safe). The crash postmortem
 /// flusher reads count() with acquire ordering from an arbitrary thread,
 /// which is why the counter publishes each slot with release semantics.
 class SignalSampleLane {

@@ -5,8 +5,11 @@
 /// profile whose sample count matches.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "npb/kernels.hpp"
 #include "npb/multizone.hpp"
@@ -87,8 +90,11 @@ TEST(Pipeline, SpillAndOfflineReconstructionRoundTrip) {
   rt.quiesce();
   tool.detach();
 
-  const std::string path =
-      std::string(::testing::TempDir()) + "pipeline_ft.orcatrc";
+  // Per-process name: concurrent copies of this suite (ctest under load,
+  // repeat lanes) must not overwrite or remove each other's trace.
+  const std::string path = std::string(::testing::TempDir()) +
+                           "pipeline_ft." + std::to_string(::getpid()) +
+                           ".orcatrc";
   ASSERT_TRUE(orca::perf::write_trace(path, tool.trace_data()));
 
   orca::perf::TraceData loaded;

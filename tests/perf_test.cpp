@@ -2,9 +2,11 @@
 /// trace format, and the libpsx-style C API.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "perf/counter.hpp"
 #include "perf/psx.h"
@@ -47,6 +49,35 @@ TEST(SampleBuffer, RecordsUntilCapThenDrops) {
   buf.clear();
   EXPECT_TRUE(buf.samples().empty());
   EXPECT_EQ(buf.dropped(), 0u);
+}
+
+// Slot sharing (several MiniMPI rank masters on gtid 0) must not cost
+// samples: below the hard cap, concurrent writers to one buffer wait for
+// each other instead of dropping.
+TEST(SampleBuffer, SharedSlotKeepsEverySampleUnderContention) {
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 20000;
+  SampleBuffer buf;
+  buf.reserve(kWriters * kPerWriter);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&buf, &go, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int i = 0; i < kPerWriter; ++i) {
+        buf.record({static_cast<std::uint64_t>(i), 0, 1, t});
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& w : writers) w.join();
+
+  EXPECT_EQ(buf.samples().size(),
+            static_cast<std::size_t>(kWriters * kPerWriter));
+  EXPECT_EQ(buf.dropped(), 0u);
+  std::vector<int> per_writer(kWriters, 0);
+  for (const EventSample& s : buf.samples()) ++per_writer[s.tid];
+  for (int t = 0; t < kWriters; ++t) EXPECT_EQ(per_writer[t], kPerWriter);
 }
 
 TEST(SampleStore, MergesAcrossThreadsSortedByTicks) {
